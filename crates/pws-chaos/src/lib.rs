@@ -189,33 +189,6 @@ pub struct SeededFaultPlan {
     faulted: Mutex<HashSet<u32>>,
 }
 
-/// FNV-1a offset basis / prime, folding arbitrary words.
-fn fnv1a_words(words: &[u64], bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for w in words {
-        for b in w.to_le_bytes() {
-            eat(b);
-        }
-    }
-    for &b in bytes {
-        eat(b);
-    }
-    h
-}
-
-/// SplitMix64 finalizer: FNV alone mixes the low bits poorly for
-/// modulo-style rolls; one finalizer round fixes that.
-fn finalize(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Per-fault-family salts so the panic / delay / poison rolls at one
 /// site are independent.
 const SALT_PANIC: u64 = 0x70616e6963; // "panic"
@@ -274,10 +247,10 @@ impl SeededFaultPlan {
         if every == 0 {
             return false;
         }
-        let h = finalize(fnv1a_words(
+        let h = pws_obs::hash::roll(
             &[self.spec.seed, user.0 as u64, stage_tag(stage), salt],
             query.as_bytes(),
-        ));
+        );
         h.is_multiple_of(every)
     }
 

@@ -10,6 +10,10 @@
 //!    never touched rank byte-identically to a fault-free run.
 //! 4. **The fault layer is inert when disabled** — an all-zero plan
 //!    compiled in and attached changes nothing, byte-for-byte.
+//!
+//! Every test holds `pws_obs::test_lock()`: the metrics registry is
+//! process-global, and the reconciliation tests reset it and assert
+//! exact counts that a concurrently running engine would inflate.
 
 use pws_chaos::ChaosSpec;
 use pws_click::{Click, Impression, ShownResult, UserId};
@@ -110,6 +114,7 @@ fn replay(e: &ServingEngine<'_>, users: u32) -> HashMap<u32, Vec<String>> {
 /// faulted, never an error, never a lost query, never a wedged shard.
 #[test]
 fn chaos_never_loses_a_query() {
+    let _guard = pws_obs::test_lock();
     quiet_injected_panics();
     let idx = index();
     let w = world();
@@ -208,6 +213,7 @@ fn every_injected_fault_is_visible_in_counters() {
 /// the faulted requests themselves.
 #[test]
 fn healthy_users_rank_byte_identically_to_fault_free_run() {
+    let _guard = pws_obs::test_lock();
     quiet_injected_panics();
     let idx = index();
     let w = world();
@@ -242,6 +248,7 @@ fn healthy_users_rank_byte_identically_to_fault_free_run() {
 /// plan attached — is byte-for-byte invisible.
 #[test]
 fn inert_plan_is_byte_identical_to_no_plan() {
+    let _guard = pws_obs::test_lock();
     let idx = index();
     let w = world();
     let users = 12u32;
@@ -374,6 +381,7 @@ fn segmented_index() -> pws_index::SegmentedIndex {
 /// users still rank byte-identically to the fault-free baseline.
 #[test]
 fn chaos_suite_is_byte_identical_on_segmented_backend() {
+    let _guard = pws_obs::test_lock();
     quiet_injected_panics();
     let idx = index();
     let seg = segmented_index();
@@ -584,6 +592,7 @@ fn flight_recorder_and_health_reconcile_injected_faults() {
 /// injected delay (50ms) dwarfs the budget (5ms) — and still ranks.
 #[test]
 fn injected_latency_blows_deadlines_into_degraded_turns() {
+    let _guard = pws_obs::test_lock();
     let idx = index();
     let w = world();
     let plan = Arc::new(ChaosSpec::parse("delay=1:50ms").unwrap().build());

@@ -16,32 +16,9 @@ use crate::content::ConceptConfig;
 use crate::location::LocationConceptConfig;
 use crate::ontology::QueryConceptOntology;
 use pws_geo::{LocationMatcher, LocationOntology};
+use pws_obs::hash::Fnv1a;
 use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// FNV-1a over a byte stream, used for both fingerprinting and sharding.
-#[derive(Debug, Clone, Copy)]
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// One cached extraction with its LRU tick.
 #[derive(Debug)]
@@ -279,6 +256,20 @@ mod tests {
         assert!(!memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc).1);
         assert!(!memo.get_or_extract("restaurant", &s, &m, &w, &cc, &lc).1);
         assert!(memo.is_empty());
+    }
+
+    /// The memo key is a stable FNV-1a fingerprint; pinned so a change
+    /// to the hash or to the fields it covers is a visible decision.
+    #[test]
+    fn fingerprint_is_pinned() {
+        let snippets = ["fresh lobster".to_string(), "harbor inn".to_string()];
+        let fp = ConceptMemo::fingerprint(
+            "lobster harbor",
+            &snippets,
+            &ConceptConfig::default(),
+            &LocationConceptConfig::default(),
+        );
+        assert_eq!(fp, 0x7d9b_ae80_a57a_194a);
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod backend;
 pub mod builder;
 pub mod codec;
 pub(crate) mod exec;
-pub mod persist;
 pub mod postings;
 pub mod query;
 pub mod score;
@@ -51,7 +50,6 @@ pub use backend::RetrievalBackend;
 pub use pws_text::Analyzer;
 pub use builder::IndexBuilder;
 pub use postings::{DocTfIter, Posting, PostingList};
-pub use persist::PersistError;
 pub use query::{parse_query, ParseError, QueryExpr};
 pub use score::Bm25Params;
 pub use search::{SearchEngine, SearchHit, StoredDoc};

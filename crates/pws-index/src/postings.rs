@@ -78,38 +78,6 @@ impl PostingList {
         self.iter().collect()
     }
 
-    /// Serialize the list (header + encoded payload) into `out`.
-    pub fn write_to(&self, out: &mut Vec<u8>) {
-        crate::codec::write_varint(out, self.doc_count);
-        crate::codec::write_varint(out, self.last_doc);
-        // total_tf fits u64; write as two u32 halves via varint.
-        crate::codec::write_varint(out, (self.total_tf >> 32) as u32);
-        crate::codec::write_varint(out, (self.total_tf & 0xFFFF_FFFF) as u32);
-        crate::codec::write_varint(out, self.bytes.len() as u32);
-        out.extend_from_slice(&self.bytes);
-    }
-
-    /// Deserialize a list previously written with [`PostingList::write_to`],
-    /// advancing `buf`. Returns `None` on malformed input.
-    pub fn read_from(buf: &mut &[u8]) -> Option<PostingList> {
-        let doc_count = crate::codec::read_varint(buf)?;
-        let last_doc = crate::codec::read_varint(buf)?;
-        let hi = crate::codec::read_varint(buf)?;
-        let lo = crate::codec::read_varint(buf)?;
-        let len = crate::codec::read_varint(buf)? as usize;
-        if buf.len() < len {
-            return None;
-        }
-        let bytes = buf[..len].to_vec();
-        *buf = &buf[len..];
-        Some(PostingList {
-            doc_count,
-            total_tf: (u64::from(hi) << 32) | u64::from(lo),
-            bytes,
-            last_doc,
-        })
-    }
-
     /// Iterate postings lazily.
     pub fn iter(&self) -> PostingIter<'_> {
         PostingIter { buf: &self.bytes, remaining: self.doc_count, prev_doc: 0, first: true }

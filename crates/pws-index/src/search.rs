@@ -254,19 +254,6 @@ impl SearchEngine {
         self.postings.iter().map(|p| p.encoded_len()).sum()
     }
 
-    /// The analyzer configuration (for persistence).
-    pub(crate) fn analyzer_config(&self) -> &Analyzer {
-        &self.analyzer
-    }
-
-    /// Borrow the engine's internals for persistence:
-    /// `(interner, postings, docs, doc_lens, total_len)`.
-    pub(crate) fn parts(
-        &self,
-    ) -> (&Interner, &[PostingList], &[StoredDoc], &[u32], u64) {
-        (&self.interner, &self.postings, &self.docs, &self.doc_lens, self.total_len)
-    }
-
     /// Run the engine's analyzer over arbitrary text (exposed for the
     /// structured-query parser so terms and phrases match index terms).
     pub fn analyze_text(&self, text: &str) -> Vec<String> {

@@ -3,37 +3,22 @@
 //! A segment file is the unit of index persistence (see
 //! `docs/INDEX_FORMAT.md` for the byte-level specification and a worked
 //! hexdump example — check.sh keeps the section list there in sync with
-//! [`SectionId`]). The layout is designed so a reader can locate and
-//! validate every section **without decoding postings or documents**:
-//!
-//! ```text
-//! magic "PWSSEG1\0" (8 raw bytes)
-//! format_version  u32 LE        (currently 1)
-//! section_count   u32 LE
-//! section table   section_count × 28 bytes:
-//!     id        u16 LE          (SectionId)
-//!     flags     u16 LE          (reserved, must be 0)
-//!     offset    u64 LE          (from file start)
-//!     len       u64 LE
-//!     checksum  u64 LE          (FNV-1a 64 of the section payload)
-//! section payloads (contiguous, in table order)
-//! ```
+//! [`SectionId`]). The framing is the shared section-table container
+//! ([`pws_obs::container`], magic [`SEGMENT_MAGIC`]), so a reader can
+//! locate and validate every section **without decoding postings or
+//! documents**.
 //!
 //! Every load failure is a typed [`SegmentError`] — corrupted, truncated,
 //! or wrong-version files must never panic the loader.
+
+use pws_obs::container::{self, FrameError, Section};
+use std::ops::Range;
 
 /// File magic: identifies a pws segment file, independent of version.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"PWSSEG1\0";
 
 /// Current (and only) format version.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Bytes per section-table entry: id u16 + flags u16 + offset u64 +
-/// len u64 + checksum u64.
-pub const SECTION_ENTRY_LEN: usize = 28;
-
-/// Byte offset of the section table (magic + version + count).
-pub const TABLE_OFFSET: usize = 8 + 4 + 4;
 
 /// Section identifiers.
 ///
@@ -85,18 +70,15 @@ impl SectionId {
             SectionId::DocLens => "DocLens",
         }
     }
+}
 
-    fn from_u16(v: u16) -> Option<SectionId> {
-        Some(match v {
-            1 => SectionId::Meta,
-            2 => SectionId::Terms,
-            3 => SectionId::BlockMax,
-            4 => SectionId::Postings,
-            5 => SectionId::DocIndex,
-            6 => SectionId::Docs,
-            7 => SectionId::DocLens,
-            _ => return None,
-        })
+impl Section for SectionId {
+    const ALL: &'static [SectionId] = &SectionId::ALL;
+    fn id(self) -> u16 {
+        self as u16
+    }
+    fn name(self) -> &'static str {
+        self.name()
     }
 }
 
@@ -146,164 +128,32 @@ impl std::fmt::Display for SegmentError {
 
 impl std::error::Error for SegmentError {}
 
-/// FNV-1a 64-bit checksum (the same hash family the serving layer uses
-/// for cache fingerprints; collision-resistant enough for bit-rot
-/// detection, zero dependencies).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// One parsed section-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionEntry {
-    /// Which section this is.
-    pub id: SectionId,
-    /// Payload byte range start (from file start).
-    pub offset: usize,
-    /// Payload length in bytes.
-    pub len: usize,
-}
-
-impl SectionEntry {
-    /// The payload slice within `file`.
-    pub fn slice<'a>(&self, file: &'a [u8]) -> &'a [u8] {
-        &file[self.offset..self.offset + self.len]
+impl From<FrameError> for SegmentError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::BadMagic => SegmentError::BadMagic,
+            FrameError::UnsupportedVersion(v) => SegmentError::UnsupportedVersion(v),
+            FrameError::Truncated(what) => SegmentError::Truncated(what),
+            FrameError::ChecksumMismatch(s) => SegmentError::ChecksumMismatch(s),
+            FrameError::MissingSection(s) => SegmentError::MissingSection(s),
+            FrameError::UnknownSection(id) => SegmentError::UnknownSection(id),
+            FrameError::Malformed(what) => SegmentError::Malformed(what),
+        }
     }
 }
 
-fn read_u16le(b: &[u8]) -> u16 {
-    u16::from_le_bytes([b[0], b[1]])
-}
-
-fn read_u32le(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-/// Read a u64 LE from the front of `b` (caller guarantees length).
-pub fn read_u64le(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
-/// Parse and fully validate a segment file's header and section table:
-/// magic, version, table bounds, known + unique section ids, payload
-/// ranges in bounds, and per-section checksums. Returns the seven
-/// required sections in [`SectionId::ALL`] order.
-///
-/// This is the *only* full-file pass a load performs; payload contents
+/// Validate a segment file's framing (magic, version, section table,
+/// layout, checksums) and return the byte range of each of the seven
+/// required sections, in [`SectionId::ALL`] order. Payload contents
 /// (postings blocks, documents) are left encoded.
-pub fn parse_sections(file: &[u8]) -> Result<Vec<SectionEntry>, SegmentError> {
-    if file.len() < 8 {
-        return Err(SegmentError::Truncated("magic"));
-    }
-    if &file[..8] != SEGMENT_MAGIC {
-        return Err(SegmentError::BadMagic);
-    }
-    if file.len() < TABLE_OFFSET {
-        return Err(SegmentError::Truncated("header"));
-    }
-    let version = read_u32le(&file[8..12]);
-    if version != FORMAT_VERSION {
-        return Err(SegmentError::UnsupportedVersion(version));
-    }
-    let count = read_u32le(&file[12..16]) as usize;
-    let table_end = TABLE_OFFSET
-        .checked_add(count.checked_mul(SECTION_ENTRY_LEN).ok_or(SegmentError::Malformed(
-            "section count overflows",
-        ))?)
-        .ok_or(SegmentError::Malformed("section table overflows"))?;
-    if file.len() < table_end {
-        return Err(SegmentError::Truncated("section table"));
-    }
-
-    let mut entries: Vec<SectionEntry> = Vec::with_capacity(count);
-    for i in 0..count {
-        let e = &file[TABLE_OFFSET + i * SECTION_ENTRY_LEN..];
-        let raw_id = read_u16le(&e[0..2]);
-        let id = SectionId::from_u16(raw_id).ok_or(SegmentError::UnknownSection(raw_id))?;
-        if read_u16le(&e[2..4]) != 0 {
-            return Err(SegmentError::Malformed("nonzero section flags"));
-        }
-        let offset = read_u64le(&e[4..12]);
-        let len = read_u64le(&e[12..20]);
-        let checksum = read_u64le(&e[20..28]);
-        let (offset, len) = (offset as usize, len as usize);
-        let end = offset
-            .checked_add(len)
-            .ok_or(SegmentError::Malformed("section range overflows"))?;
-        if offset < table_end || end > file.len() {
-            return Err(SegmentError::Truncated(id.name()));
-        }
-        if entries.iter().any(|p| p.id == id) {
-            return Err(SegmentError::Malformed("duplicate section id"));
-        }
-        if fnv1a64(&file[offset..end]) != checksum {
-            return Err(SegmentError::ChecksumMismatch(id.name()));
-        }
-        entries.push(SectionEntry { id, offset, len });
-    }
-
-    // All required sections present, returned in canonical order.
-    let mut ordered = Vec::with_capacity(SectionId::ALL.len());
-    for want in SectionId::ALL {
-        match entries.iter().find(|e| e.id == want) {
-            Some(&e) => ordered.push(e),
-            None => return Err(SegmentError::MissingSection(want.name())),
-        }
-    }
-    Ok(ordered)
+pub fn parse_sections(file: &[u8]) -> Result<Vec<Range<usize>>, SegmentError> {
+    Ok(container::parse::<SectionId>(file, SEGMENT_MAGIC, FORMAT_VERSION)?)
 }
 
-/// Incremental segment-file writer: collect section payloads, then emit
-/// header + table + payloads with checksums in one buffer.
-#[derive(Debug, Default)]
-pub struct SectionWriter {
-    sections: Vec<(SectionId, Vec<u8>)>,
-}
-
-impl SectionWriter {
-    /// Empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one section's payload. Sections are written in insertion order.
-    pub fn add(&mut self, id: SectionId, payload: Vec<u8>) {
-        debug_assert!(
-            !self.sections.iter().any(|(s, _)| *s == id),
-            "duplicate section {id:?}"
-        );
-        self.sections.push((id, payload));
-    }
-
-    /// Emit the complete segment file.
-    pub fn finish(self) -> Vec<u8> {
-        let table_end = TABLE_OFFSET + self.sections.len() * SECTION_ENTRY_LEN;
-        let total: usize =
-            table_end + self.sections.iter().map(|(_, p)| p.len()).sum::<usize>();
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(SEGMENT_MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        let mut offset = table_end;
-        for (id, payload) in &self.sections {
-            out.extend_from_slice(&(*id as u16).to_le_bytes());
-            out.extend_from_slice(&0u16.to_le_bytes());
-            out.extend_from_slice(&(offset as u64).to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-            offset += payload.len();
-        }
-        for (_, payload) in &self.sections {
-            out.extend_from_slice(payload);
-        }
-        debug_assert_eq!(out.len(), total);
-        out
-    }
+/// Emit a complete segment file: header, section table, then the
+/// payloads in the given order.
+pub fn write_sections(sections: &[(SectionId, Vec<u8>)]) -> Vec<u8> {
+    container::write(SEGMENT_MAGIC, FORMAT_VERSION, sections)
 }
 
 #[cfg(test)]
@@ -311,11 +161,9 @@ mod tests {
     use super::*;
 
     fn tiny_file() -> Vec<u8> {
-        let mut w = SectionWriter::new();
-        for id in SectionId::ALL {
-            w.add(id, vec![id as u8; (id as usize) * 3]);
-        }
-        w.finish()
+        let sections: Vec<_> =
+            SectionId::ALL.iter().map(|&id| (id, vec![id as u8; (id as usize) * 3])).collect();
+        write_sections(&sections)
     }
 
     #[test]
@@ -323,9 +171,8 @@ mod tests {
         let f = tiny_file();
         let sections = parse_sections(&f).expect("parse");
         assert_eq!(sections.len(), SectionId::ALL.len());
-        for (e, want) in sections.iter().zip(SectionId::ALL) {
-            assert_eq!(e.id, want);
-            assert_eq!(e.slice(&f), vec![want as u8; (want as usize) * 3]);
+        for (r, want) in sections.iter().zip(SectionId::ALL) {
+            assert_eq!(f[r.clone()], vec![want as u8; (want as usize) * 3]);
         }
     }
 
@@ -356,9 +203,8 @@ mod tests {
     fn payload_corruption_is_checksum_mismatch() {
         let f = tiny_file();
         let sections = parse_sections(&f).expect("parse");
-        let meta = sections[0];
         let mut corrupt = f.clone();
-        corrupt[meta.offset] ^= 0xFF;
+        corrupt[sections[0].start] ^= 0xFF;
         assert_eq!(
             parse_sections(&corrupt),
             Err(SegmentError::ChecksumMismatch("Meta"))
@@ -367,12 +213,9 @@ mod tests {
 
     #[test]
     fn missing_section_detected() {
-        let mut w = SectionWriter::new();
-        for id in SectionId::ALL.iter().skip(1) {
-            w.add(*id, Vec::new());
-        }
+        let sections: Vec<_> = SectionId::ALL[1..].iter().map(|&id| (id, Vec::new())).collect();
         assert_eq!(
-            parse_sections(&w.finish()),
+            parse_sections(&write_sections(&sections)),
             Err(SegmentError::MissingSection("Meta"))
         );
     }
@@ -382,8 +225,8 @@ mod tests {
         let f = tiny_file();
         let mut bad = f.clone();
         // First table entry's id → 42.
-        bad[TABLE_OFFSET] = 42;
-        bad[TABLE_OFFSET + 1] = 0;
+        bad[container::TABLE_OFFSET] = 42;
+        bad[container::TABLE_OFFSET + 1] = 0;
         assert_eq!(parse_sections(&bad), Err(SegmentError::UnknownSection(42)));
     }
 

@@ -22,7 +22,7 @@
 
 use crate::codec::{read_varint, write_varint};
 use crate::search::StoredDoc;
-use crate::segfile::{parse_sections, read_u64le, SectionId, SectionWriter, SegmentError};
+use crate::segfile::{parse_sections, write_sections, SectionId, SegmentError};
 use pws_text::{Analyzer, Interner};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -106,15 +106,14 @@ impl Segment {
     pub fn load_bytes(bytes: impl Into<Arc<[u8]>>) -> Result<Segment, SegmentError> {
         let _span = metrics_load().span();
         let bytes: Arc<[u8]> = bytes.into();
-        let sections = parse_sections(&bytes)?;
-        let [meta_s, terms_s, blockmax_s, postings_s, doc_index_s, docs_s, doc_lens_s] =
-            sections[..]
+        let Ok([meta_s, terms_s, blockmax_s, postings_s, doc_index_s, docs_s, doc_lens_s]) =
+            <[_; 7]>::try_from(parse_sections(&bytes)?)
         else {
             return Err(SegmentError::Malformed("section count"));
         };
 
         // ── Meta ─────────────────────────────────────────────────────
-        let mut m = meta_s.slice(&bytes);
+        let mut m = &bytes[meta_s];
         let doc_count =
             read_varint(&mut m).ok_or(SegmentError::Truncated("Meta.doc_count"))?;
         let hi = read_varint(&mut m).ok_or(SegmentError::Truncated("Meta.total_len"))?;
@@ -135,7 +134,7 @@ impl Segment {
         let analyzer = Analyzer { remove_stopwords, stem, min_token_len, max_token_len };
 
         // ── Terms ────────────────────────────────────────────────────
-        let mut t = terms_s.slice(&bytes);
+        let mut t = &bytes[terms_s];
         let n_terms =
             read_varint(&mut t).ok_or(SegmentError::Truncated("Terms.count"))? as usize;
         let mut dict = HashMap::with_capacity(n_terms);
@@ -159,7 +158,7 @@ impl Segment {
         }
 
         // ── BlockMax table ───────────────────────────────────────────
-        let mut b = blockmax_s.slice(&bytes);
+        let mut b = &bytes[blockmax_s];
         let mut term_meta = Vec::with_capacity(n_terms);
         let mut blocks: Vec<BlockMeta> = Vec::new();
         let mut payload_off = 0usize;
@@ -217,26 +216,26 @@ impl Segment {
         if !b.is_empty() {
             return Err(SegmentError::Malformed("trailing bytes in BlockMax"));
         }
-        if payload_off != postings_s.len {
+        if payload_off != postings_s.len() {
             return Err(SegmentError::Malformed("postings length mismatch"));
         }
 
         // ── DocIndex: monotone offsets into Docs ─────────────────────
-        let di = doc_index_s.slice(&bytes);
+        let di = &bytes[doc_index_s.clone()];
         if di.len() != doc_count as usize * 8 {
             return Err(SegmentError::Malformed("doc index length mismatch"));
         }
         let mut prev = 0u64;
         for i in 0..doc_count as usize {
             let off = read_u64le(&di[i * 8..]);
-            if off > docs_s.len as u64 || (i > 0 && off < prev) {
+            if off > docs_s.len() as u64 || (i > 0 && off < prev) {
                 return Err(SegmentError::Malformed("doc index offsets out of range"));
             }
             prev = off;
         }
 
         // ── DocLens ──────────────────────────────────────────────────
-        let mut dl = doc_lens_s.slice(&bytes);
+        let mut dl = &bytes[doc_lens_s];
         let mut doc_lens = Vec::with_capacity(doc_count as usize);
         for _ in 0..doc_count {
             doc_lens.push(read_varint(&mut dl).ok_or(SegmentError::Truncated("DocLens"))?);
@@ -255,10 +254,10 @@ impl Segment {
                 doc_lens,
                 doc_count,
                 total_len,
-                postings_off: postings_s.offset,
-                doc_index_off: doc_index_s.offset,
-                docs_off: docs_s.offset,
-                docs_len: docs_s.len,
+                postings_off: postings_s.start,
+                doc_index_off: doc_index_s.start,
+                docs_off: docs_s.start,
+                docs_len: docs_s.len(),
                 bytes,
                 k1_norms: std::sync::OnceLock::new(),
             }),
@@ -638,15 +637,15 @@ impl SegmentBuilder {
             write_varint(&mut doc_lens, l);
         }
 
-        let mut w = SectionWriter::new();
-        w.add(SectionId::Meta, meta);
-        w.add(SectionId::Terms, terms);
-        w.add(SectionId::BlockMax, blockmax);
-        w.add(SectionId::Postings, payloads);
-        w.add(SectionId::DocIndex, doc_index);
-        w.add(SectionId::Docs, self.doc_payload);
-        w.add(SectionId::DocLens, doc_lens);
-        w.finish()
+        write_sections(&[
+            (SectionId::Meta, meta),
+            (SectionId::Terms, terms),
+            (SectionId::BlockMax, blockmax),
+            (SectionId::Postings, payloads),
+            (SectionId::DocIndex, doc_index),
+            (SectionId::Docs, self.doc_payload),
+            (SectionId::DocLens, doc_lens),
+        ])
     }
 
     /// [`SegmentBuilder::finish`] followed by [`Segment::load_bytes`].
@@ -660,6 +659,11 @@ fn metrics_build() -> &'static pws_obs::StageMetrics {
     static STAGE: std::sync::OnceLock<std::sync::Arc<pws_obs::StageMetrics>> =
         std::sync::OnceLock::new();
     STAGE.get_or_init(|| pws_obs::stage("segment.build"))
+}
+
+/// Read a u64 LE from the front of `b` (caller guarantees length).
+fn read_u64le(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
 fn write_str(out: &mut Vec<u8>, s: &str) {

@@ -1,5 +1,6 @@
 //! Property tests for the search engine: retrieval correctness against a
-//! brute-force oracle, persistence round-trips, and structured-query laws.
+//! brute-force oracle and structured-query laws. (Segment file round
+//! trips are covered by `segment_roundtrip.rs`.)
 
 use proptest::prelude::*;
 use pws_index::{IndexBuilder, SearchEngine, StoredDoc};
@@ -82,20 +83,6 @@ proptest! {
         }
         for w in hits.windows(2) {
             prop_assert!(w[0].score >= w[1].score);
-        }
-    }
-
-    /// Persistence: serialize ∘ deserialize is the identity on behaviour.
-    #[test]
-    fn persistence_round_trip(bodies in corpus(), q in word()) {
-        let e = build(&bodies);
-        let e2 = SearchEngine::deserialize(&e.serialize()).expect("round trip");
-        let a = e.search(q, 10);
-        let b = e2.search(q, 10);
-        prop_assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            prop_assert_eq!(x.doc, y.doc);
-            prop_assert!((x.score - y.score).abs() < 1e-12);
         }
     }
 

@@ -145,7 +145,7 @@ impl BetaProvenance {
 /// deterministic trace-sampling hash, so "which queries were sampled"
 /// and "which events belong to this query" agree.
 pub fn query_hash(query_key: &str) -> u64 {
-    crate::flight::fnv1a64(query_key.as_bytes())
+    crate::hash::fnv1a64(query_key.as_bytes())
 }
 
 /// Order-sensitive fingerprint of a result page: FNV-1a 64 over the
@@ -153,12 +153,12 @@ pub fn query_hash(query_key: &str) -> u64 {
 /// iff their fingerprints match (modulo hash collisions); replay
 /// divergence localizes to the first differing event.
 pub fn page_fingerprint(pairs: impl IntoIterator<Item = (u32, usize)>) -> u64 {
-    let mut bytes = Vec::with_capacity(64);
+    let mut h = crate::hash::Fnv1a::new();
     for (doc, rank) in pairs {
-        bytes.extend_from_slice(&doc.to_le_bytes());
-        bytes.extend_from_slice(&(rank as u64).to_le_bytes());
+        h.write(&doc.to_le_bytes());
+        h.write(&(rank as u64).to_le_bytes());
     }
-    crate::flight::fnv1a64(&bytes)
+    h.finish()
 }
 
 /// One admitted query, as the flight recorder saw it. Fixed-width plain

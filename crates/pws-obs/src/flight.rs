@@ -6,8 +6,9 @@
 //! house binary-format rules established by `PWSSEG1` (segments) and
 //! `PWSUSR1` (user records):
 //!
-//! * fixed 8-byte magic + little-endian `u32` format version,
-//! * a section table with per-section FNV-1a-64 checksums,
+//! * the shared section-table container ([`crate::container`]): fixed
+//!   8-byte magic, little-endian `u32` format version, a section table
+//!   with per-section FNV-1a-64 checksums,
 //! * every multi-byte integer little-endian, every `f64` as `to_bits`,
 //! * decoding is total: corrupt, truncated, or future-version input
 //!   yields a typed [`FlightError`], never a panic,
@@ -18,8 +19,11 @@
 //! `docs/FLIGHT_FORMAT.md`; a CI gate keeps the section table there in
 //! two-way sync with [`SectionId`].
 
+use crate::container::{self, FrameError, Reader, Section, Writer};
 use crate::event::{DegradeCode, FlightEvent, SEARCH_STAGES};
 use crate::trace::BetaProvenance;
+
+pub use crate::container::{SECTION_ENTRY_LEN, TABLE_OFFSET};
 
 /// File magic: identifies a flight dump and its major format family.
 pub const MAGIC: &[u8; 8] = b"PWSFLT1\0";
@@ -27,13 +31,6 @@ pub const MAGIC: &[u8; 8] = b"PWSFLT1\0";
 /// Current format version. Bump on any incompatible layout change;
 /// readers reject versions they don't know.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Byte length of one section-table entry:
-/// `id u16 + flags u16 + offset u64 + len u64 + checksum u64`.
-pub const SECTION_ENTRY_LEN: usize = 28;
-
-/// Offset of the section table (magic + version + section count).
-pub const TABLE_OFFSET: usize = 16;
 
 /// Encoded byte length of one [`FlightEvent`] record.
 pub const EVENT_LEN: usize = 4 + 4 + 8 + 8 + 8 * SEARCH_STAGES.len() + 8 + 8 + 5 + 8;
@@ -63,9 +60,15 @@ impl SectionId {
             SectionId::Events => "Events",
         }
     }
+}
 
-    fn from_u16(id: u16) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| *s as u16 == id)
+impl Section for SectionId {
+    const ALL: &'static [SectionId] = &SectionId::ALL;
+    fn id(self) -> u16 {
+        self as u16
+    }
+    fn name(self) -> &'static str {
+        self.name()
     }
 }
 
@@ -188,46 +191,21 @@ impl std::fmt::Display for FlightError {
 
 impl std::error::Error for FlightError {}
 
-/// FNV-1a 64-bit over `bytes` — the section checksum function, shared
-/// with [`crate::event::query_hash`] and
-/// [`crate::event::page_fingerprint`].
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<FrameError> for FlightError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::BadMagic => FlightError::BadMagic,
+            FrameError::UnsupportedVersion(v) => FlightError::UnsupportedVersion(v),
+            FrameError::Truncated(what) => FlightError::Truncated(what),
+            FrameError::ChecksumMismatch(s) => FlightError::ChecksumMismatch(s),
+            FrameError::MissingSection(s) => FlightError::MissingSection(s),
+            FrameError::UnknownSection(id) => FlightError::UnknownSection(id),
+            FrameError::Malformed(what) => FlightError::Malformed(what),
+        }
     }
-    hash
 }
 
 // ── Encoding ────────────────────────────────────────────────────────────
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
 
 fn encode_meta(dump: &FlightDump) -> Vec<u8> {
     let mut w = Writer::new();
@@ -284,147 +262,20 @@ pub fn encode_flight_dump(dump: &FlightDump) -> Vec<u8> {
         (SectionId::Stages, encode_stages()),
         (SectionId::Events, encode_events(dump)),
     ];
-    let table_len = payloads.len() * SECTION_ENTRY_LEN;
-    let mut out = Vec::with_capacity(
-        TABLE_OFFSET + table_len + payloads.iter().map(|(_, p)| p.len()).sum::<usize>(),
-    );
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    let mut offset = (TABLE_OFFSET + table_len) as u64;
-    for (id, payload) in &payloads {
-        out.extend_from_slice(&(*id as u16).to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // reserved flags
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        offset += payload.len() as u64;
-    }
-    for (_, payload) in &payloads {
-        out.extend_from_slice(payload);
-    }
-    out
+    container::write(MAGIC, FORMAT_VERSION, &payloads)
 }
 
 // ── Decoding ────────────────────────────────────────────────────────────
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Reader { buf, pos: 0, section }
+/// Read a `u64` count and sanity-bound it by the bytes that could
+/// possibly back it (≥ `min_elem_bytes` each), so a corrupt count can't
+/// trigger a huge allocation before the real data runs out.
+fn read_count(r: &mut Reader<'_>, min_elem_bytes: usize) -> Result<usize, FlightError> {
+    let n = r.u64()? as usize;
+    if min_elem_bytes > 0 && n > r.remaining() / min_elem_bytes {
+        return Err(FlightError::Malformed("count exceeds section size"));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FlightError> {
-        let end = self.pos.checked_add(n).ok_or(FlightError::Malformed("length overflows"))?;
-        if end > self.buf.len() {
-            return Err(FlightError::Truncated(self.section));
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, FlightError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, FlightError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, FlightError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Read a count and sanity-bound it by the bytes that could
-    /// possibly back it (≥ `min_elem_bytes` each), so a corrupt count
-    /// can't trigger a huge allocation before the real data runs out.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, FlightError> {
-        let n = self.u64()? as usize;
-        let remaining = self.buf.len() - self.pos;
-        if min_elem_bytes > 0 && n > remaining / min_elem_bytes {
-            return Err(FlightError::Malformed("count exceeds section size"));
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<&'a str, FlightError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map_err(|_| FlightError::Malformed("non-UTF-8 string"))
-    }
-
-    fn finish(self) -> Result<(), FlightError> {
-        if self.pos != self.buf.len() {
-            return Err(FlightError::Malformed("trailing bytes in section"));
-        }
-        Ok(())
-    }
-}
-
-/// Validate the header + section table and return the three section
-/// payloads in [`SectionId::ALL`] order.
-fn parse_sections(bytes: &[u8]) -> Result<Vec<&[u8]>, FlightError> {
-    if bytes.len() < MAGIC.len() {
-        return Err(FlightError::Truncated("header"));
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(FlightError::BadMagic);
-    }
-    if bytes.len() < TABLE_OFFSET {
-        return Err(FlightError::Truncated("header"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(FlightError::UnsupportedVersion(version));
-    }
-    let section_count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-    let table_len = section_count
-        .checked_mul(SECTION_ENTRY_LEN)
-        .ok_or(FlightError::Malformed("section count overflows"))?;
-    let table_end = TABLE_OFFSET
-        .checked_add(table_len)
-        .ok_or(FlightError::Malformed("section count overflows"))?;
-    if table_end > bytes.len() {
-        return Err(FlightError::Truncated("section table"));
-    }
-    let mut sections: Vec<Option<&[u8]>> = vec![None; SectionId::ALL.len()];
-    for entry in 0..section_count {
-        let at = TABLE_OFFSET + entry * SECTION_ENTRY_LEN;
-        let id = u16::from_le_bytes(bytes[at..at + 2].try_into().expect("2 bytes"));
-        let flags = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().expect("2 bytes"));
-        let offset =
-            u64::from_le_bytes(bytes[at + 4..at + 12].try_into().expect("8 bytes")) as usize;
-        let len = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().expect("8 bytes")) as usize;
-        let checksum = u64::from_le_bytes(bytes[at + 20..at + 28].try_into().expect("8 bytes"));
-        let section = SectionId::from_u16(id).ok_or(FlightError::UnknownSection(id))?;
-        if flags != 0 {
-            return Err(FlightError::Malformed("nonzero reserved section flags"));
-        }
-        let end = offset.checked_add(len).ok_or(FlightError::Malformed("section overflows"))?;
-        if offset < table_end || end > bytes.len() {
-            return Err(FlightError::Truncated(section.name()));
-        }
-        let payload = &bytes[offset..end];
-        if fnv1a64(payload) != checksum {
-            return Err(FlightError::ChecksumMismatch(section.name()));
-        }
-        let slot = SectionId::ALL.iter().position(|s| *s == section).expect("known section");
-        if sections[slot].is_some() {
-            return Err(FlightError::Malformed("duplicate section"));
-        }
-        sections[slot] = Some(payload);
-    }
-    SectionId::ALL
-        .iter()
-        .zip(sections)
-        .map(|(id, s)| s.ok_or(FlightError::MissingSection(id.name())))
-        .collect()
+    Ok(n)
 }
 
 fn decode_event(r: &mut Reader<'_>) -> Result<FlightEvent, FlightError> {
@@ -479,16 +330,16 @@ fn decode_event(r: &mut Reader<'_>) -> Result<FlightEvent, FlightError> {
 /// Decode a `PWSFLT1` byte image. Total: every failure is a typed
 /// [`FlightError`].
 pub fn decode_flight_dump(bytes: &[u8]) -> Result<FlightDump, FlightError> {
-    let sections = parse_sections(bytes)?;
+    let sections = container::parse::<SectionId>(bytes, MAGIC, FORMAT_VERSION)?;
 
-    let mut meta = Reader::new(sections[0], SectionId::Meta.name());
+    let mut meta = Reader::new(&bytes[sections[0].clone()], SectionId::Meta.name());
     let reason =
         DumpReason::from_u8(meta.u8()?).ok_or(FlightError::Malformed("unknown dump reason"))?;
     let shard_count = meta.u32()?;
     let declared_events = meta.u64()?;
     meta.finish()?;
 
-    let mut stages = Reader::new(sections[1], SectionId::Stages.name());
+    let mut stages = Reader::new(&bytes[sections[1].clone()], SectionId::Stages.name());
     let stage_count = stages.u32()? as usize;
     if stage_count != SEARCH_STAGES.len() {
         return Err(FlightError::Malformed("stage schema count mismatch"));
@@ -500,8 +351,8 @@ pub fn decode_flight_dump(bytes: &[u8]) -> Result<FlightDump, FlightError> {
     }
     stages.finish()?;
 
-    let mut events_r = Reader::new(sections[2], SectionId::Events.name());
-    let count = events_r.count(EVENT_LEN)?;
+    let mut events_r = Reader::new(&bytes[sections[2].clone()], SectionId::Events.name());
+    let count = read_count(&mut events_r, EVENT_LEN)?;
     if count as u64 != declared_events {
         return Err(FlightError::Malformed("event count disagrees with Meta"));
     }
@@ -601,7 +452,7 @@ mod tests {
     #[test]
     fn wrong_magic_and_future_version_are_typed() {
         assert_eq!(decode_flight_dump(b"NOTFLT!!rest"), Err(FlightError::BadMagic));
-        assert_eq!(decode_flight_dump(b""), Err(FlightError::Truncated("header")));
+        assert_eq!(decode_flight_dump(b""), Err(FlightError::Truncated("magic")));
         let mut bytes = encode_flight_dump(&dense_dump());
         bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert_eq!(

@@ -59,9 +59,19 @@
 //! the engine fills when a caller asks "why did *this* query rank the
 //! way it did". [`prometheus_text`] renders the whole registry in the
 //! Prometheus text exposition format for scraping.
+//!
+//! # Shared primitives
+//!
+//! As the workspace's leaf crate, `pws-obs` also holds the two pieces
+//! every binary format and every deterministic router needs: [`hash`]
+//! (FNV-1a 64 and the SplitMix64 finalizer) and [`container`] (the
+//! checksummed section-table framing of `PWSSEG1`, `PWSUSR1` and
+//! `PWSFLT1`).
 
+pub mod container;
 pub mod event;
 pub mod flight;
+pub mod hash;
 pub mod health;
 pub mod prometheus;
 pub mod trace;
@@ -674,11 +684,9 @@ mod tests {
 
     /// Deterministic pseudo-random stream for the merge property test.
     fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let out = crate::hash::splitmix64(*state);
+        *state = state.wrapping_add(crate::hash::SPLITMIX_GAMMA);
+        out
     }
 
     #[test]

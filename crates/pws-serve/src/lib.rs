@@ -119,6 +119,7 @@ use pws_index::SearchHit;
 use pws_entropy::QueryStats;
 use pws_obs::event::FlightEvent;
 use pws_obs::flight::{DumpReason, FlightDump};
+use pws_obs::hash::{fnv1a64, splitmix64, Fnv1a};
 use pws_obs::health::{HealthMonitor, HealthReport, SloSpec};
 use pws_obs::trace::QueryTrace;
 use pws_store::{StoreIo, UserRecord, UserStore};
@@ -554,32 +555,33 @@ impl TraceConfig {
     }
 }
 
-/// Fixed-capacity overwrite-oldest ring of admitted query traces.
+/// Fixed-capacity overwrite-oldest ring: the query-trace ring and each
+/// shard's flight-event ring.
 ///
 /// The write path is lock-free in its coordination: a single atomic
 /// `fetch_add` claims a slot, and the per-slot mutexes only serialize
 /// two writers that wrapped onto the *same* slot (or a writer with a
 /// concurrent [`collect`](Self::collect)) — never writer against
 /// writer on different slots. No allocation happens on push beyond the
-/// trace the engine already built.
-struct TraceRing {
-    slots: Vec<Mutex<Option<QueryTrace>>>,
+/// item the caller already built.
+struct Ring<T> {
+    slots: Vec<Mutex<Option<T>>>,
     cursor: AtomicU64,
     /// `serve.lock_recovered` handle — a poisoned slot (a thread killed
     /// mid-push) is recovered, never allowed to wedge the ring.
     recovered: Arc<pws_obs::StageMetrics>,
 }
 
-impl TraceRing {
+impl<T: Clone> Ring<T> {
     fn new(capacity: usize, recovered: Arc<pws_obs::StageMetrics>) -> Self {
-        TraceRing {
+        Ring {
             slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicU64::new(0),
             recovered,
         }
     }
 
-    fn push(&self, trace: QueryTrace) {
+    fn push(&self, item: T) {
         let claimed = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = (claimed % self.slots.len() as u64) as usize;
         let (mut guard, was_poisoned) = lock_or_recover(&self.slots[slot]);
@@ -588,11 +590,11 @@ impl TraceRing {
         }
         // Overwriting is the recovery: whatever half-state the dead
         // writer left behind is replaced wholesale.
-        *guard = Some(trace);
+        *guard = Some(item);
     }
 
     /// Snapshot the ring's contents, oldest first.
-    fn collect(&self) -> Vec<QueryTrace> {
+    fn collect(&self) -> Vec<T> {
         let cursor = self.cursor.load(Ordering::Relaxed);
         let n = self.slots.len() as u64;
         (0..n)
@@ -649,59 +651,15 @@ impl FlightConfig {
     }
 }
 
-/// Fixed-capacity overwrite-oldest ring of flight events: the same
-/// claim-by-`fetch_add` discipline as [`TraceRing`], one ring per shard
-/// so concurrent shards never contend on a cursor.
-struct FlightRing {
-    slots: Vec<Mutex<Option<FlightEvent>>>,
-    cursor: AtomicU64,
-    recovered: Arc<pws_obs::StageMetrics>,
-}
-
-impl FlightRing {
-    fn new(capacity: usize, recovered: Arc<pws_obs::StageMetrics>) -> Self {
-        FlightRing {
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicU64::new(0),
-            recovered,
-        }
-    }
-
-    fn push(&self, event: FlightEvent) {
-        let claimed = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let slot = (claimed % self.slots.len() as u64) as usize;
-        let (mut guard, was_poisoned) = lock_or_recover(&self.slots[slot]);
-        if was_poisoned {
-            self.recovered.incr(1);
-        }
-        *guard = Some(event);
-    }
-
-    /// Snapshot this ring's contents, oldest first.
-    fn collect(&self) -> Vec<FlightEvent> {
-        let cursor = self.cursor.load(Ordering::Relaxed);
-        let n = self.slots.len() as u64;
-        (0..n)
-            .map(|k| ((cursor + k) % n) as usize)
-            .filter_map(|i| {
-                let (guard, was_poisoned) = lock_or_recover(&self.slots[i]);
-                if was_poisoned {
-                    self.recovered.incr(1);
-                }
-                *guard
-            })
-            .collect()
-    }
-}
-
-/// The wide-event flight recorder: one [`FlightRing`] per shard plus
+/// The wide-event flight recorder: one event [`Ring`] per shard (so
+/// concurrent shards never contend on a cursor) plus
 /// the degrade/shed-burst auto-dump policy.
 ///
 /// Counters: `serve.flight.recorded` (events appended),
 /// `serve.flight.dump` (dump files written), `serve.flight.dump_error`
 /// (dump writes that failed — the request path never errors on them).
 struct FlightRecorder {
-    rings: Vec<FlightRing>,
+    rings: Vec<Ring<FlightEvent>>,
     auto_dump_dir: Option<PathBuf>,
     auto_dump_burst: u64,
     /// Degrade + shed events since the last automatic dump.
@@ -716,7 +674,7 @@ impl FlightRecorder {
     fn new(cfg: &FlightConfig, shards: usize, recovered: Arc<pws_obs::StageMetrics>) -> Self {
         FlightRecorder {
             rings: (0..shards)
-                .map(|_| FlightRing::new(cfg.ring_capacity, recovered.clone()))
+                .map(|_| Ring::new(cfg.ring_capacity, recovered.clone()))
                 .collect(),
             auto_dump_dir: cfg.auto_dump_dir.clone(),
             auto_dump_burst: cfg.auto_dump_burst.max(1),
@@ -736,7 +694,7 @@ impl FlightRecorder {
     /// Every shard's ring contents: shards in index order, oldest
     /// first within each shard.
     fn collect(&self) -> Vec<FlightEvent> {
-        self.rings.iter().flat_map(FlightRing::collect).collect()
+        self.rings.iter().flat_map(Ring::collect).collect()
     }
 
     fn dump(&self, reason: DumpReason) -> FlightDump {
@@ -762,17 +720,6 @@ impl FlightRecorder {
             Err(_) => self.dump_error.incr(1),
         }
     }
-}
-
-/// FNV-1a over a string; stable across runs and platforms (no
-/// `RandomState`), shared by statistics sharding and trace sampling.
-fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Number of lock shards in the base-retrieval cache. Fixed: cache
@@ -835,21 +782,13 @@ pub struct ShardedRetrievalCache {
 /// FNV-1a over the cache key. Token boundaries are delimited (so
 /// `["ab","c"]` ≠ `["a","bc"]`) and the pool size is folded in last.
 fn cache_fingerprint(tokens: &[String], k: usize) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
+    let mut h = Fnv1a::new();
     for t in tokens {
-        for &b in t.as_bytes() {
-            eat(b);
-        }
-        eat(0xff);
+        h.write(t.as_bytes());
+        h.write(&[0xff]);
     }
-    for b in (k as u64).to_le_bytes() {
-        eat(b);
-    }
-    h
+    h.write_u64s(&[k as u64]);
+    h.finish()
 }
 
 impl ShardedRetrievalCache {
@@ -1027,7 +966,7 @@ impl ShardedStats {
     }
 
     fn shard_of(&self, key: &str) -> usize {
-        (fnv1a(key) % self.shards.len() as u64) as usize
+        (fnv1a64(key.as_bytes()) % self.shards.len() as u64) as usize
     }
 
     /// The current epoch snapshot (an `Arc` clone; cheap). The snapshot
@@ -1177,7 +1116,9 @@ struct WritebackItem {
     due: Option<Instant>,
 }
 
-/// `user → shard index`, shared by the engine and the daemon.
+/// `user → shard index`, shared by the engine and the daemon. Mixed
+/// through SplitMix64 so the simulator's dense sequential `UserId`s
+/// spread evenly.
 fn shard_index(user: UserId, shard_count: usize) -> usize {
     (splitmix64(user.0 as u64) % shard_count as u64) as usize
 }
@@ -1538,16 +1479,6 @@ impl pws_index::RetrievalBackend for LiveIndex {
     }
 }
 
-/// SplitMix64 finalizer — the same user-hash the eval harness uses for
-/// seeding, reused here so shard assignment is well-mixed even for the
-/// dense sequential `UserId`s the simulator generates.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// The concurrent serving engine: shared [`EngineCore`] + user-sharded
 /// mutable state. All request methods take `&self`; the type is
 /// `Send + Sync` and intended to be put behind an `Arc` (or borrowed by
@@ -1587,7 +1518,7 @@ pub struct ServingEngine<'a> {
     trace_cfg: TraceConfig,
     /// `Some` iff tracing is enabled; the `None` fast path skips trace
     /// allocation entirely.
-    ring: Option<TraceRing>,
+    ring: Option<Ring<QueryTrace>>,
     /// `Some` iff the flight recorder is enabled.
     flight: Option<FlightRecorder>,
     /// SLO burn-rate monitor behind [`Self::health`]. Always present
@@ -1646,7 +1577,7 @@ impl<'a> ServingEngine<'a> {
         let ring = serve_cfg
             .trace
             .enabled
-            .then(|| TraceRing::new(serve_cfg.trace.ring_capacity, fault.lock_recovered.clone()));
+            .then(|| Ring::new(serve_cfg.trace.ring_capacity, fault.lock_recovered.clone()));
         let flight = serve_cfg
             .flight
             .enabled
@@ -1789,7 +1720,7 @@ impl<'a> ServingEngine<'a> {
     }
 
     fn shard_of(&self, user: UserId) -> usize {
-        (splitmix64(user.0 as u64) % self.shards.len() as u64) as usize
+        shard_index(user, self.shards.len())
     }
 
     /// Execute one personalized search for `user`.
@@ -1900,7 +1831,7 @@ impl<'a> ServingEngine<'a> {
         let raw = per_turn.saturating_mul(excess);
         // Jitter factor in [0.75, 1.25], in parts-per-million; u128
         // keeps the multiply exact for any plausible hint.
-        let h = splitmix64(fnv1a(query_text) ^ splitmix64(user.0 as u64) ^ excess);
+        let h = splitmix64(fnv1a64(query_text.as_bytes()) ^ splitmix64(user.0 as u64) ^ excess);
         let ppm = 750_000 + h % 500_001;
         Duration::from_nanos((u128::from(raw) * u128::from(ppm) / 1_000_000) as u64)
     }
@@ -2360,7 +2291,8 @@ impl<'a> ServingEngine<'a> {
     fn admit(&self, trace: &QueryTrace) -> bool {
         let cfg = &self.trace_cfg;
         let sampled = cfg.sample_every > 0
-            && fnv1a(&EngineCore::query_key(&trace.query_text)).is_multiple_of(cfg.sample_every);
+            && pws_obs::event::query_hash(&EngineCore::query_key(&trace.query_text))
+                .is_multiple_of(cfg.sample_every);
         let slow =
             cfg.slow_threshold_nanos > 0 && trace.total_nanos >= cfg.slow_threshold_nanos;
         sampled || slow
@@ -2369,7 +2301,7 @@ impl<'a> ServingEngine<'a> {
     /// The slow-query ring's current contents, oldest first. Empty when
     /// tracing is disabled.
     pub fn slow_queries(&self) -> Vec<QueryTrace> {
-        self.ring.as_ref().map(TraceRing::collect).unwrap_or_default()
+        self.ring.as_ref().map(Ring::collect).unwrap_or_default()
     }
 
     /// Each shard's current in-flight request count (index-aligned with
@@ -2737,6 +2669,12 @@ const _: fn() = || {
 
 #[cfg(test)]
 mod tests {
+    //! Every test that drives a `ServingEngine` or touches a stage
+    //! holds `pws_obs::test_lock()` for its whole run: the metrics
+    //! registry is process-global, and the counter-reconciliation tests
+    //! reset it and assert exact counts, which a concurrently running
+    //! engine in another test would inflate.
+
     use super::*;
     use pws_click::{Click, ShownResult};
     use pws_core::{BlendStrategy, PersonalizedSearchEngine};
@@ -2958,6 +2896,7 @@ mod tests {
     /// are always fresh for its next turn).
     #[test]
     fn sharded_replay_matches_serial_adaptive_disjoint_queries() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -2981,6 +2920,7 @@ mod tests {
     /// *shared* query strings replay byte-identically at any concurrency.
     #[test]
     fn sharded_replay_matches_serial_fixed_beta_shared_queries() {
+        let _guard = pws_obs::test_lock();
         let queries = |_u: u32| -> Vec<String> {
             ["seafood restaurant", "restaurant", "seafood restaurant", "pizza restaurant"]
                 .iter()
@@ -3007,6 +2947,7 @@ mod tests {
     /// serial in-memory replay, cache and all.
     #[test]
     fn sharded_replay_on_segmented_backend_matches_serial() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -3041,6 +2982,7 @@ mod tests {
     /// query — even one whose token sequence was already cached.
     #[test]
     fn publish_segment_bumps_epoch_and_surfaces_new_docs() {
+        let _guard = pws_obs::test_lock();
         let seg_all = segmented_index();
         let (first, second) = {
             let segs = seg_all.segments();
@@ -3091,6 +3033,7 @@ mod tests {
 
     #[test]
     fn batch_search_matches_sequential_and_preserves_order() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3109,6 +3052,7 @@ mod tests {
 
     #[test]
     fn adaptive_beta_flows_through_snapshot() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -3130,6 +3074,7 @@ mod tests {
 
     #[test]
     fn stats_refresh_epoch_batches_snapshot_rebuilds() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -3151,6 +3096,7 @@ mod tests {
 
     #[test]
     fn user_lifecycle_forget_export_import() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3211,6 +3157,7 @@ mod tests {
     /// or determinism.
     #[test]
     fn sharded_replay_with_tracing_enabled_matches_serial() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -3244,6 +3191,7 @@ mod tests {
     /// the slow-query-log contract.
     #[test]
     fn slow_query_ring_sampling_is_replay_deterministic() {
+        let _guard = pws_obs::test_lock();
         let run = || -> Vec<String> {
             let idx = index();
             let w = world();
@@ -3283,6 +3231,7 @@ mod tests {
 
     #[test]
     fn slow_query_ring_traces_carry_serving_context() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -3319,6 +3268,7 @@ mod tests {
 
     #[test]
     fn tracing_disabled_yields_no_traces() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3337,6 +3287,7 @@ mod tests {
 
     #[test]
     fn queue_depth_returns_to_zero_after_batch_search() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3368,6 +3319,7 @@ mod tests {
 
     #[test]
     fn unlimited_budget_search_with_matches_search() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3386,6 +3338,7 @@ mod tests {
 
     #[test]
     fn expired_budget_degrades_to_baseline_order_never_errors() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3417,6 +3370,7 @@ mod tests {
 
     #[test]
     fn admission_control_sheds_with_retry_hint_but_trusted_path_passes() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -3445,6 +3399,7 @@ mod tests {
 
     #[test]
     fn injected_delay_plus_deadline_degrades_at_the_right_checkpoint() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let plan = Arc::new(TargetedPlan {
@@ -3471,6 +3426,7 @@ mod tests {
 
     #[test]
     fn panic_isolation_answers_the_query_and_preserves_state() {
+        let _guard = pws_obs::test_lock();
         quiet_injected_panics();
         let idx = index();
         let w = world();
@@ -3585,10 +3541,19 @@ mod tests {
     /// Regression test for the trace ring: a thread killed while holding
     /// a slot used to poison it permanently, panicking every later push
     /// and collect. Now both recover.
+    /// The retrieval-cache key is a stable FNV-1a fingerprint; pinned so
+    /// a change to the hash or to the key layout is a visible decision.
+    #[test]
+    fn cache_fingerprint_is_pinned() {
+        let tokens = ["seafood".to_string(), "restaurant".to_string()];
+        assert_eq!(cache_fingerprint(&tokens, 50), 0xd36c_323f_821f_f131);
+    }
+
     #[test]
     fn trace_ring_recovers_from_poisoned_slot() {
+        let _guard = pws_obs::test_lock();
         quiet_injected_panics();
-        let ring = TraceRing::new(1, pws_obs::stage("serve.lock_recovered"));
+        let ring = Ring::new(1, pws_obs::stage("serve.lock_recovered"));
         ring.push(QueryTrace::new(1, "before"));
         poison_mutex(&ring.slots[0]);
         ring.push(QueryTrace::new(2, "after"));
@@ -3702,6 +3667,7 @@ mod tests {
     /// which one happened. Without a cache the stamp stays `None`.
     #[test]
     fn trace_stamps_retrieval_cache_hit() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(&idx, &w, EngineConfig::default(), ServeConfig::default());
@@ -3886,6 +3852,7 @@ mod tests {
     /// serial engine exactly.
     #[test]
     fn evicted_user_replays_byte_identically_to_always_resident() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -4063,6 +4030,7 @@ mod tests {
     /// the state and the per-query adaptive-β statistics.
     #[test]
     fn engine_restart_resumes_replay_byte_identically() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -4110,6 +4078,7 @@ mod tests {
     /// statistics restarted cold and the β sequence diverged.
     #[test]
     fn export_import_into_fresh_process_resumes_adaptive_beta_exactly() {
+        let _guard = pws_obs::test_lock();
         let user = UserId(9);
         let repeated = "seafood restaurant"; // repeated ⇒ stats-driven β moves
         let full: Vec<(UserId, Vec<String>)> =
@@ -4192,6 +4161,7 @@ mod tests {
     /// floored at 100µs per queued request.
     #[test]
     fn retry_after_stays_actionable_on_cache_hot_shard() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -4271,6 +4241,7 @@ mod tests {
     /// its profile is byte-identical afterwards.
     #[test]
     fn writeback_panic_keeps_victim_resident_with_state_intact() {
+        let _guard = pws_obs::test_lock();
         quiet_injected_panics();
         let idx = index();
         let w = world();
@@ -4318,6 +4289,7 @@ mod tests {
     /// even without eviction pressure.
     #[test]
     fn flush_store_persists_dirty_residents() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let dir = store_dir("flush");
@@ -4350,6 +4322,7 @@ mod tests {
     /// stored record.
     #[test]
     fn forget_user_erases_resident_and_stored_tiers() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let dir = store_dir("forget");
@@ -4383,6 +4356,7 @@ mod tests {
     /// combination — observation must never perturb results.
     #[test]
     fn sharded_replay_with_recorder_and_monitor_matches_serial() {
+        let _guard = pws_obs::test_lock();
         let queries = |u: u32| -> Vec<String> {
             vec![
                 format!("seafood restaurant u{u}"),
@@ -4426,6 +4400,7 @@ mod tests {
     /// shard) reconcile exactly against the turn that produced them.
     #[test]
     fn flight_events_reconcile_against_turns() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(
@@ -4587,6 +4562,7 @@ mod tests {
     /// timing (threshold arm disabled).
     #[test]
     fn trace_sampling_admission_is_deterministic() {
+        let _guard = pws_obs::test_lock();
         let cfg = TraceConfig::default();
         assert!(!cfg.enabled, "tracing is opt-in");
         assert_eq!(cfg.slow_threshold_nanos, 0, "timing arm is opt-in (non-deterministic)");
@@ -4614,7 +4590,10 @@ mod tests {
         assert!(!first.is_empty(), "sample_every=3 admits some of 32 queries");
         assert!(first.len() < 32, "and not all of them");
         for key in &first {
-            assert!(fnv1a(key).is_multiple_of(3), "admitted key hashes to the sample class");
+            assert!(
+                fnv1a64(key.as_bytes()).is_multiple_of(3),
+                "admitted key hashes to the sample class"
+            );
         }
         assert_eq!(run(), first, "hash-based admission is run-to-run deterministic");
     }
@@ -4690,6 +4669,7 @@ mod tests {
     /// rings rather than waiting for degraded turns.
     #[test]
     fn shed_burst_triggers_auto_dump() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let dir = store_dir("sheddump");
@@ -4733,6 +4713,7 @@ mod tests {
     /// a lockstep herd.
     #[test]
     fn retry_after_hint_is_jittered_within_bounds_and_replay_stable() {
+        let _guard = pws_obs::test_lock();
         let idx = index();
         let w = world();
         let e = ServingEngine::new(

@@ -7,10 +7,10 @@
 //! a product-quantized cold form of the weight vectors for scan-time
 //! analytics.
 //!
-//! The layout follows the segment file format (`pws-index::segfile`,
-//! `docs/INDEX_FORMAT.md`): a fixed header, a section table with
-//! per-section FNV-1a-64 checksums, then the section payloads. See
-//! `docs/STORE_FORMAT.md` for the byte-level spec.
+//! The framing is the shared section-table container
+//! ([`pws_obs::container`], spec in `docs/INDEX_FORMAT.md`): a fixed
+//! header, a section table with per-section FNV-1a-64 checksums, then
+//! the section payloads. See `docs/STORE_FORMAT.md` for the payloads.
 //!
 //! ```text
 //! ┌───────────────────────────────────────────────┐
@@ -38,22 +38,18 @@ use pws_click::UserId;
 use pws_core::{UserExport, UserState};
 use pws_entropy::QueryStats;
 use pws_geo::LocId;
+use pws_obs::container::{self, FrameError, Reader, Section, Writer};
 use pws_profile::{ContentProfile, LocationProfile, UserHistory};
 use pws_ranksvm::{LinearRankModel, PreferencePair};
 use std::collections::BTreeMap;
+
+pub use pws_obs::container::{SECTION_ENTRY_LEN, TABLE_OFFSET};
 
 /// Magic bytes opening every user record.
 pub const STORE_MAGIC: &[u8; 8] = b"PWSUSR1\0";
 
 /// Current format version. Readers reject anything newer.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Bytes per section-table entry: id u16 + flags u16 + offset u64 +
-/// len u64 + checksum u64.
-pub const SECTION_ENTRY_LEN: usize = 28;
-
-/// Offset of the section table: magic + version + section count.
-pub const TABLE_OFFSET: usize = 8 + 4 + 4;
 
 /// The sections of a user record. The discriminant is the on-disk id.
 ///
@@ -107,9 +103,15 @@ impl SectionId {
             SectionId::Quantized => "quantized",
         }
     }
+}
 
-    fn from_u16(raw: u16) -> Option<SectionId> {
-        SectionId::ALL.into_iter().find(|s| *s as u16 == raw)
+impl Section for SectionId {
+    const ALL: &'static [SectionId] = &SectionId::ALL;
+    fn id(self) -> u16 {
+        self as u16
+    }
+    fn name(self) -> &'static str {
+        self.name()
     }
 }
 
@@ -173,14 +175,18 @@ impl From<crate::io::IoError> for StoreError {
     }
 }
 
-/// FNV-1a 64-bit — the same checksum the segment format uses.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<FrameError> for StoreError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::BadMagic => StoreError::BadMagic,
+            FrameError::UnsupportedVersion(v) => StoreError::UnsupportedVersion(v),
+            FrameError::Truncated(what) => StoreError::Truncated(what),
+            FrameError::ChecksumMismatch(s) => StoreError::ChecksumMismatch(s),
+            FrameError::MissingSection(s) => StoreError::MissingSection(s),
+            FrameError::UnknownSection(id) => StoreError::UnknownSection(id),
+            FrameError::Malformed(what) => StoreError::Malformed(what),
+        }
     }
-    h
 }
 
 /// The decoded cold-tier form: the record's product quantizer plus the
@@ -229,32 +235,6 @@ impl UserRecord {
 }
 
 // ── Encoding ─────────────────────────────────────────────────────────────
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64bits(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
 
 fn encode_meta(record: &UserRecord) -> Vec<u8> {
     let mut w = Writer::new();
@@ -429,168 +409,21 @@ pub fn encode_user_record(record: &UserRecord) -> Vec<u8> {
         (SectionId::QueryStats, encode_query_stats(&record.query_stats)),
         (SectionId::Quantized, encode_quantized(&record.state)),
     ];
-
-    let table_len = payloads.len() * SECTION_ENTRY_LEN;
-    let mut out = Vec::with_capacity(
-        TABLE_OFFSET + table_len + payloads.iter().map(|(_, p)| p.len()).sum::<usize>(),
-    );
-    out.extend_from_slice(STORE_MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-
-    let mut offset = (TABLE_OFFSET + table_len) as u64;
-    for (id, payload) in &payloads {
-        out.extend_from_slice(&(*id as u16).to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes()); // flags, reserved
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        offset += payload.len() as u64;
-    }
-    for (_, payload) in &payloads {
-        out.extend_from_slice(payload);
-    }
-    out
+    container::write(STORE_MAGIC, FORMAT_VERSION, &payloads)
 }
 
 // ── Decoding ─────────────────────────────────────────────────────────────
 
-/// Sequential reader over one section's payload; every read that runs
-/// past the end is a typed [`StoreError::Truncated`] naming the section.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        Reader { buf, pos: 0, section }
+/// A `u32` count field, sanity-bounded so corrupt counts fail fast as
+/// truncation instead of attempting huge allocations: each counted
+/// element occupies at least `min_elem_bytes` bytes of payload.
+fn read_count(r: &mut Reader<'_>, min_elem_bytes: usize) -> Result<usize, StoreError> {
+    let n = r.u32()? as usize;
+    let need = n.checked_mul(min_elem_bytes).ok_or(StoreError::Malformed("count overflow"))?;
+    if need > r.remaining() {
+        return Err(StoreError::Truncated(r.section()));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .ok_or(StoreError::Malformed("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(StoreError::Truncated(self.section));
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64bits(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, StoreError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| StoreError::Malformed("invalid utf-8 in string"))
-    }
-
-    /// A count field, sanity-bounded so corrupt counts fail fast as
-    /// truncation instead of attempting huge allocations: each counted
-    /// element occupies at least `min_elem_bytes` bytes of payload.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, StoreError> {
-        let n = self.u32()? as usize;
-        let need = n
-            .checked_mul(min_elem_bytes)
-            .ok_or(StoreError::Malformed("count overflow"))?;
-        if self.pos.saturating_add(need) > self.buf.len() {
-            return Err(StoreError::Truncated(self.section));
-        }
-        Ok(n)
-    }
-
-    fn finish(&self) -> Result<(), StoreError> {
-        if self.pos != self.buf.len() {
-            return Err(StoreError::Malformed("trailing bytes in section"));
-        }
-        Ok(())
-    }
-}
-
-fn read_u64le(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
-}
-
-/// Locate, bound-check and checksum every section. Returns the payload
-/// slice per required section, in [`SectionId::ALL`] order.
-fn parse_sections(bytes: &[u8]) -> Result<Vec<&[u8]>, StoreError> {
-    if bytes.len() < STORE_MAGIC.len() {
-        return Err(StoreError::Truncated("magic"));
-    }
-    if &bytes[..STORE_MAGIC.len()] != STORE_MAGIC {
-        return Err(StoreError::BadMagic);
-    }
-    if bytes.len() < TABLE_OFFSET {
-        return Err(StoreError::Truncated("header"));
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != FORMAT_VERSION {
-        return Err(StoreError::UnsupportedVersion(version));
-    }
-    let section_count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let table_len = section_count
-        .checked_mul(SECTION_ENTRY_LEN)
-        .ok_or(StoreError::Malformed("section count overflow"))?;
-    let table_end = TABLE_OFFSET
-        .checked_add(table_len)
-        .ok_or(StoreError::Malformed("section table overflow"))?;
-    if table_end > bytes.len() {
-        return Err(StoreError::Truncated("section table"));
-    }
-
-    let mut found: Vec<Option<&[u8]>> = vec![None; SectionId::ALL.len()];
-    for i in 0..section_count {
-        let at = TABLE_OFFSET + i * SECTION_ENTRY_LEN;
-        let raw_id = u16::from_le_bytes(bytes[at..at + 2].try_into().unwrap());
-        let id = SectionId::from_u16(raw_id).ok_or(StoreError::UnknownSection(raw_id))?;
-        let flags = u16::from_le_bytes(bytes[at + 2..at + 4].try_into().unwrap());
-        if flags != 0 {
-            return Err(StoreError::Malformed("reserved section flags set"));
-        }
-        let offset = read_u64le(bytes, at + 4) as usize;
-        let len = read_u64le(bytes, at + 12) as usize;
-        let checksum = read_u64le(bytes, at + 20);
-        let end = offset
-            .checked_add(len)
-            .ok_or(StoreError::Malformed("section range overflow"))?;
-        if offset < table_end || end > bytes.len() {
-            return Err(StoreError::Truncated(id.name()));
-        }
-        let payload = &bytes[offset..end];
-        if fnv1a64(payload) != checksum {
-            return Err(StoreError::ChecksumMismatch(id.name()));
-        }
-        let slot = SectionId::ALL.iter().position(|s| *s == id).unwrap();
-        if found[slot].is_some() {
-            return Err(StoreError::Malformed("duplicate section"));
-        }
-        found[slot] = Some(payload);
-    }
-
-    SectionId::ALL
-        .iter()
-        .zip(found)
-        .map(|(id, p)| p.ok_or(StoreError::MissingSection(id.name())))
-        .collect()
+    Ok(n)
 }
 
 fn decode_meta(payload: &[u8]) -> Result<(UserId, u64, Vec<String>), StoreError> {
@@ -600,10 +433,10 @@ fn decode_meta(payload: &[u8]) -> Result<(UserId, u64, Vec<String>), StoreError>
         .map(UserId)
         .map_err(|_| StoreError::Malformed("user id out of range"))?;
     let observations = r.u64()?;
-    let n = r.count(4)?;
+    let n = read_count(&mut r, 4)?;
     let mut seen = Vec::with_capacity(n);
     for _ in 0..n {
-        seen.push(r.str()?);
+        seen.push(r.str()?.to_owned());
     }
     r.finish()?;
     Ok((user, observations, seen))
@@ -611,7 +444,7 @@ fn decode_meta(payload: &[u8]) -> Result<(UserId, u64, Vec<String>), StoreError>
 
 fn decode_model(payload: &[u8]) -> Result<LinearRankModel, StoreError> {
     let mut r = Reader::new(payload, "model");
-    let dim = r.count(8)?;
+    let dim = read_count(&mut r, 8)?;
     let mut weights = Vec::with_capacity(dim);
     for _ in 0..dim {
         weights.push(r.f64bits()?);
@@ -623,10 +456,10 @@ fn decode_model(payload: &[u8]) -> Result<LinearRankModel, StoreError> {
 fn decode_content(payload: &[u8]) -> Result<ContentProfile, StoreError> {
     let mut r = Reader::new(payload, "content_profile");
     let observations = r.u64()?;
-    let n = r.count(12)?;
+    let n = read_count(&mut r, 12)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let term = r.str()?;
+        let term = r.str()?.to_owned();
         let weight = r.f64bits()?;
         entries.push((term, weight));
     }
@@ -637,7 +470,7 @@ fn decode_content(payload: &[u8]) -> Result<ContentProfile, StoreError> {
 fn decode_location(payload: &[u8]) -> Result<LocationProfile, StoreError> {
     let mut r = Reader::new(payload, "location_profile");
     let observations = r.u64()?;
-    let n = r.count(12)?;
+    let n = read_count(&mut r, 12)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         let loc = LocId(r.u32()?);
@@ -651,17 +484,17 @@ fn decode_location(payload: &[u8]) -> Result<LocationProfile, StoreError> {
 fn decode_history(payload: &[u8]) -> Result<UserHistory, StoreError> {
     let mut r = Reader::new(payload, "history");
     let total = r.u64()?;
-    let nu = r.count(8)?;
+    let nu = read_count(&mut r, 8)?;
     let mut urls = Vec::with_capacity(nu);
     for _ in 0..nu {
-        let url = r.str()?;
+        let url = r.str()?.to_owned();
         let clicks = r.u32()?;
         urls.push((url, clicks));
     }
-    let nd = r.count(8)?;
+    let nd = read_count(&mut r, 8)?;
     let mut domains = Vec::with_capacity(nd);
     for _ in 0..nd {
-        let domain = r.str()?;
+        let domain = r.str()?.to_owned();
         let clicks = r.u32()?;
         domains.push((domain, clicks));
     }
@@ -671,15 +504,15 @@ fn decode_history(payload: &[u8]) -> Result<UserHistory, StoreError> {
 
 fn decode_pairs(payload: &[u8]) -> Result<Vec<PreferencePair>, StoreError> {
     let mut r = Reader::new(payload, "pairs");
-    let n = r.count(8)?;
+    let n = read_count(&mut r, 8)?;
     let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
-        let db = r.count(8)?;
+        let db = read_count(&mut r, 8)?;
         let mut better = Vec::with_capacity(db);
         for _ in 0..db {
             better.push(r.f64bits()?);
         }
-        let dw = r.count(8)?;
+        let dw = read_count(&mut r, 8)?;
         let mut worse = Vec::with_capacity(dw);
         for _ in 0..dw {
             worse.push(r.f64bits()?);
@@ -692,27 +525,27 @@ fn decode_pairs(payload: &[u8]) -> Result<Vec<PreferencePair>, StoreError> {
 
 fn decode_query_stats(payload: &[u8]) -> Result<BTreeMap<String, QueryStats>, StoreError> {
     let mut r = Reader::new(payload, "query_stats");
-    let n = r.count(4)?;
+    let n = read_count(&mut r, 4)?;
     let mut out = BTreeMap::new();
     for _ in 0..n {
-        let key = r.str()?;
+        let key = r.str()?.to_owned();
         let impressions = r.u64()?;
         let clicks = r.u64()?;
-        let nu = r.count(12)?;
+        let nu = read_count(&mut r, 12)?;
         let mut urls = Vec::with_capacity(nu);
         for _ in 0..nu {
-            let url = r.str()?;
+            let url = r.str()?.to_owned();
             let mass = r.f64bits()?;
             urls.push((url, mass));
         }
-        let nc = r.count(12)?;
+        let nc = read_count(&mut r, 12)?;
         let mut concepts = Vec::with_capacity(nc);
         for _ in 0..nc {
-            let term = r.str()?;
+            let term = r.str()?.to_owned();
             let mass = r.f64bits()?;
             concepts.push((term, mass));
         }
-        let nl = r.count(12)?;
+        let nl = read_count(&mut r, 12)?;
         let mut locs = Vec::with_capacity(nl);
         for _ in 0..nl {
             let loc = LocId(r.u32()?);
@@ -738,11 +571,11 @@ fn decode_quantized(payload: &[u8]) -> Result<Option<QuantizedVectors>, StoreErr
             Ok(None)
         }
         1 => {
-            let pq_len = r.count(1)?;
+            let pq_len = read_count(&mut r, 1)?;
             let pq_bytes = r.take(pq_len)?;
             let pq = ProductQuantizer::from_bytes(pq_bytes)
                 .ok_or(StoreError::Malformed("invalid quantizer"))?;
-            let n = r.count(pq.m())?;
+            let n = read_count(&mut r, pq.m())?;
             let mut codes = Vec::with_capacity(n);
             for _ in 0..n {
                 let code = r.take(pq.m())?.to_vec();
@@ -762,15 +595,16 @@ fn decode_quantized(payload: &[u8]) -> Result<Option<QuantizedVectors>, StoreErr
 /// every section checksum. Inverse of [`encode_user_record`]:
 /// `decode(encode(r))` reproduces `r`'s logical content bit-exactly.
 pub fn decode_user_record(bytes: &[u8]) -> Result<UserRecord, StoreError> {
-    let sections = parse_sections(bytes)?;
-    let (user, observations, seen_queries) = decode_meta(sections[0])?;
-    let model = decode_model(sections[1])?;
-    let content = decode_content(sections[2])?;
-    let location = decode_location(sections[3])?;
-    let history = decode_history(sections[4])?;
-    let pairs = decode_pairs(sections[5])?;
-    let query_stats = decode_query_stats(sections[6])?;
-    let quantized = decode_quantized(sections[7])?;
+    let sections = container::parse::<SectionId>(bytes, STORE_MAGIC, FORMAT_VERSION)?;
+    let payload = |i: usize| &bytes[sections[i].clone()];
+    let (user, observations, seen_queries) = decode_meta(payload(0))?;
+    let model = decode_model(payload(1))?;
+    let content = decode_content(payload(2))?;
+    let location = decode_location(payload(3))?;
+    let history = decode_history(payload(4))?;
+    let pairs = decode_pairs(payload(5))?;
+    let query_stats = decode_query_stats(payload(6))?;
+    let quantized = decode_quantized(payload(7))?;
 
     let mut state = UserState::new();
     state.content = content;

@@ -19,6 +19,7 @@
 //! that classification is what the serving tier's writeback
 //! retry/backoff policy keys off.
 
+use pws_obs::hash::roll;
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 use std::fmt;
@@ -242,30 +243,6 @@ const KIND_SYNC_FILE: u64 = 4;
 const KIND_SYNC_DIR: u64 = 5;
 const KIND_REMOVE: u64 = 6;
 
-/// FNV-1a over words + bytes, SplitMix64-finalized — the same
-/// roll shape `pws-chaos` uses, so storeio faults are replay-stable.
-fn roll_hash(words: &[u64], bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    for w in words {
-        for b in w.to_le_bytes() {
-            eat(b);
-        }
-    }
-    for &b in bytes {
-        eat(b);
-    }
-    // SplitMix64 finalizer: FNV alone mixes low bits poorly for
-    // modulo-style rolls.
-    let mut z = h.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// Deterministic fault-injecting [`StoreIo`] wrapper. See
 /// [`IoFaultSpec`] for the fault families and their triggers.
 #[derive(Debug)]
@@ -351,7 +328,7 @@ impl FaultIo {
     fn torn_prefix(&self, idx: u64, len: usize) -> usize {
         match self.spec.torn_keep {
             Some(k) => k.min(len),
-            None => (roll_hash(&[self.spec.seed, idx], b"torn") % (len as u64 + 1)) as usize,
+            None => (roll(&[self.spec.seed, idx], b"torn") % (len as u64 + 1)) as usize,
         }
     }
 
@@ -421,7 +398,7 @@ impl FaultIo {
                 *slot += 1;
                 n
             };
-            let h = roll_hash(&[self.spec.seed, kind, nth], name.as_bytes());
+            let h = roll(&[self.spec.seed, kind, nth], name.as_bytes());
             if h.is_multiple_of(self.spec.eio_every) {
                 self.count_transient(kind);
                 self.mark_faulted(path);

@@ -36,7 +36,7 @@ pub mod pq;
 pub mod store;
 
 pub use codec::{
-    decode_user_record, encode_user_record, fnv1a64, QuantizedVectors, SectionId, StoreError,
+    decode_user_record, encode_user_record, QuantizedVectors, SectionId, StoreError,
     UserRecord, FORMAT_VERSION, SECTION_ENTRY_LEN, STORE_MAGIC, TABLE_OFFSET,
 };
 pub use io::{FaultIo, FaultIoCounts, FsIo, IoError, IoErrorKind, IoFaultSpec, StoreIo};

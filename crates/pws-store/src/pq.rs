@@ -14,14 +14,7 @@
 //! The quantized form is *approximate* and serves scan/analytics over
 //! cold records; fault-in always reads the exact bit-level sections.
 
-/// SplitMix64 — the repo's standard seeding PRNG.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use pws_obs::hash::splitmix64;
 
 /// A trained product quantizer: `m` subspaces × `k` centroids over
 /// `dim`-dimensional vectors.

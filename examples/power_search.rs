@@ -1,13 +1,13 @@
 //! Power-user search features of the underlying engine: phrase queries,
-//! boolean operators, and index persistence (save to bytes, reload,
-//! identical results — no re-indexing on restart).
+//! boolean operators, and index persistence (write a segment file,
+//! reopen it, identical results — no re-indexing on restart).
 //!
 //! ```text
 //! cargo run --release --example power_search
 //! ```
 
 use pws::eval::{ExperimentSpec, ExperimentWorld};
-use pws::index::SearchEngine;
+use pws::index::{Segment, SegmentBuilder, SegmentedIndex};
 
 fn main() {
     let world = ExperimentWorld::build(ExperimentSpec::small());
@@ -46,16 +46,23 @@ fn main() {
         println!("{bad:?} → {}", engine.search_expr(bad, 5).unwrap_err());
     }
 
-    // Persistence: serialize, reload, verify identity.
+    // Persistence: write a segment file, reopen it, verify identity.
     println!("\n── persistence ──");
-    let bytes = engine.serialize();
+    let mut builder = SegmentBuilder::new(Default::default());
+    for d in &world.corpus.docs {
+        builder.add(&d.url, &d.title, &d.body);
+    }
+    let path = std::env::temp_dir().join(format!("power-search-{}.pwsseg", std::process::id()));
+    builder.finish_segment().expect("segment build").write_file(&path).expect("segment write");
+    let segment = Segment::open(&path).expect("segment open");
+    let _ = std::fs::remove_file(&path);
     println!(
-        "serialized {} docs / {} terms into {} KiB",
-        engine.doc_count(),
-        engine.vocab_size(),
-        bytes.len() / 1024
+        "wrote {} docs / {} terms into a {} KiB segment file",
+        segment.doc_count(),
+        segment.term_dfs().count(),
+        segment.file_bytes().len() / 1024
     );
-    let reloaded = SearchEngine::deserialize(&bytes).expect("round trip");
+    let reloaded = SegmentedIndex::from_segments(vec![segment]).expect("index");
     let q = "seafood restaurant";
     let a = engine.search(q, 10);
     let b = reloaded.search(q, 10);
@@ -63,5 +70,5 @@ fn main() {
         a.iter().map(|h| h.doc).collect::<Vec<_>>(),
         b.iter().map(|h| h.doc).collect::<Vec<_>>()
     );
-    println!("reloaded engine returns identical results for {q:?} ✓");
+    println!("reopened segment returns identical results for {q:?} ✓");
 }

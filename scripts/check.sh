@@ -118,66 +118,31 @@ if [[ $missing -ne 0 ]]; then
     exit 1
 fi
 
-echo "==> segment-format section gate (docs/INDEX_FORMAT.md)"
-# The id/name pairs of enum SectionId (the segment writer's section
-# list) must match the section table documented in the format spec —
-# in both directions, so neither the code nor the doc can drift.
-spec=docs/INDEX_FORMAT.md
-enum_src=crates/pws-index/src/segfile.rs
-enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
-    | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
-    | sed -E 's/\s*=\s*/ /')
-doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
-    | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
-if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
-    echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
-    exit 1
-fi
-if ! diff <(printf '%s\n' "$enum_pairs" | sort) \
-          <(printf '%s\n' "$doc_pairs" | sort); then
-    echo "FAIL: SectionId enum and the $spec section table disagree"
-    exit 1
-fi
-
-echo "==> store-format section gate (docs/STORE_FORMAT.md)"
-# Same two-way sync for the user-record codec: enum SectionId in
-# pws-store must match the section table in the store format spec.
-spec=docs/STORE_FORMAT.md
-enum_src=crates/pws-store/src/codec.rs
-enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
-    | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
-    | sed -E 's/\s*=\s*/ /')
-doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
-    | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
-if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
-    echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
-    exit 1
-fi
-if ! diff <(printf '%s\n' "$enum_pairs" | sort) \
-          <(printf '%s\n' "$doc_pairs" | sort); then
-    echo "FAIL: SectionId enum and the $spec section table disagree"
-    exit 1
-fi
-
-echo "==> flight-format section gate (docs/FLIGHT_FORMAT.md)"
-# Same two-way sync for the flight-dump codec: enum SectionId in
-# pws-obs must match the section table in the flight format spec.
-spec=docs/FLIGHT_FORMAT.md
-enum_src=crates/pws-obs/src/flight.rs
-enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
-    | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
-    | sed -E 's/\s*=\s*/ /')
-doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
-    | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
-if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
-    echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
-    exit 1
-fi
-if ! diff <(printf '%s\n' "$enum_pairs" | sort) \
-          <(printf '%s\n' "$doc_pairs" | sort); then
-    echo "FAIL: SectionId enum and the $spec section table disagree"
-    exit 1
-fi
+echo "==> format section gates (SectionId enums <-> docs/*_FORMAT.md, two-way)"
+# For each binary format, the id/name pairs of its enum SectionId must
+# match the section table documented in its spec — in both directions,
+# so neither the code nor the doc can drift.
+for pair in \
+    crates/pws-index/src/segfile.rs:docs/INDEX_FORMAT.md \
+    crates/pws-store/src/codec.rs:docs/STORE_FORMAT.md \
+    crates/pws-obs/src/flight.rs:docs/FLIGHT_FORMAT.md; do
+    enum_src=${pair%%:*}
+    spec=${pair#*:}
+    enum_pairs=$(awk '/^pub enum SectionId \{/,/^\}/' "$enum_src" \
+        | grep -oP '^\s+\K[A-Za-z]+\s*=\s*[0-9]+' \
+        | sed -E 's/\s*=\s*/ /')
+    doc_pairs=$(grep -oP '^\|\s*[0-9]+\s*\|\s*`[A-Za-z]+`' "$spec" \
+        | sed -E 's/^\|\s*([0-9]+)\s*\|\s*`([A-Za-z]+)`/\2 \1/')
+    if [[ -z "$enum_pairs" || -z "$doc_pairs" ]]; then
+        echo "FAIL: could not extract SectionId pairs from $enum_src or $spec"
+        exit 1
+    fi
+    if ! diff <(printf '%s\n' "$enum_pairs" | sort) \
+              <(printf '%s\n' "$doc_pairs" | sort); then
+        echo "FAIL: SectionId enum in $enum_src and the $spec section table disagree"
+        exit 1
+    fi
+done
 
 echo "==> store-tier replay-equivalence gate (store_smoke)"
 # Write → evict → fault-in → replay must be byte-identical to an

@@ -8,7 +8,7 @@ use pws::corpus::session::{generate_session, Refinement, SessionSpec};
 use pws::corpus::vocab::Topics;
 use pws::eval::{ExperimentSpec, ExperimentWorld};
 use pws::geo::WorldCoords;
-use pws::index::SearchEngine;
+use pws::index::{Segment, SegmentBuilder, SegmentedIndex};
 use pws::profile::SpyNbConfig;
 
 fn world() -> ExperimentWorld {
@@ -46,9 +46,16 @@ fn structured_queries_work_on_generated_corpus() {
 #[test]
 fn full_index_round_trips_through_persistence() {
     let w = world();
-    let bytes = w.engine.serialize();
-    assert!(bytes.len() > 1000);
-    let reloaded = SearchEngine::deserialize(&bytes).expect("round trip");
+    let mut b = SegmentBuilder::new(Default::default());
+    for d in &w.corpus.docs {
+        b.add(&d.url, &d.title, &d.body);
+    }
+    let path = std::env::temp_dir().join(format!("pws-ext-{}.pwsseg", std::process::id()));
+    b.finish_segment().expect("segment build").write_file(&path).expect("segment write");
+    let reopened = Segment::open(&path).expect("segment open");
+    let _ = std::fs::remove_file(&path);
+    assert!(reopened.file_bytes().len() > 1000);
+    let reloaded = SegmentedIndex::from_segments(vec![reopened]).expect("index");
     for q in w.queries.iter().take(10) {
         let a: Vec<u32> = w.engine.search(&q.text, 10).iter().map(|h| h.doc).collect();
         let b: Vec<u32> = reloaded.search(&q.text, 10).iter().map(|h| h.doc).collect();
